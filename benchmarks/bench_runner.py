@@ -34,10 +34,7 @@ retained reference implementations and writes ``BENCH_kernels.json``:
   trace (:mod:`repro.service.bench`): micro-batched + memoized
   throughput versus sequential ``repro.api.estimate`` (identity-gated),
   plus the deadline and stress phases exercising the degradation
-  ladder, and the sharding phase (``processes=K`` scatter/gather over
-  the shared-memory worker pool versus one process, identity- and
-  leak-gated; ``--min-shard-speedup`` gates the speedup on multi-core
-  hosts).  Written standalone as ``BENCH_service.json``; the
+  ladder.  Written standalone as ``BENCH_service.json``; the
   ``--min-service-speedup`` / ``--max-p99-ms`` /
   ``--max-deadline-miss-rate`` gates fail the run when the service
   regresses.  ``--only-service`` runs just this phase (the CI
@@ -608,9 +605,6 @@ def bench_service() -> dict:
     _record(
         "service.deadline_p99_s", report["deadline"]["latency_p99_s"]
     )
-    sharding = report["sharding"]
-    _record("service.sharding_baseline_s", sharding["baseline_seconds"])
-    _record("service.sharding_sharded_s", sharding["sharded_seconds"])
     return report
 
 
@@ -849,38 +843,6 @@ def _check_service(report: dict, args) -> int:
             file=sys.stderr,
         )
         return 1
-    sharding = report["sharding"]
-    if not sharding["identical"]:
-        print(
-            "FAIL: sharded service responses differ from the "
-            f"single-process run: {sharding['mismatches']}",
-            file=sys.stderr,
-        )
-        return 1
-    if sharding["leaked_segments"]:
-        print(
-            "FAIL: shared-memory segments leaked after service "
-            f"shutdown: {sharding['leaked_segments']}",
-            file=sys.stderr,
-        )
-        return 1
-    if args.min_shard_speedup is not None:
-        # Genuine process parallelism needs a second core; a single-CPU
-        # host reports its honest ~1x and waives the gate (the identity
-        # and leak gates above still apply there).
-        if sharding["cpu_count"] < 2:
-            print(
-                "  (shard speedup gate waived: "
-                f"{sharding['cpu_count']} cpu)"
-            )
-        elif sharding["speedup"] < args.min_shard_speedup:
-            print(
-                f"FAIL: sharded service speedup "
-                f"{sharding['speedup']:.2f}x below required "
-                f"{args.min_shard_speedup}x",
-                file=sys.stderr,
-            )
-            return 1
     return 0
 
 
@@ -1253,14 +1215,6 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="fail if the deadline phase's p99 latency exceeds this "
         "many milliseconds",
-    )
-    parser.add_argument(
-        "--min-shard-speedup",
-        type=float,
-        default=None,
-        help="fail unless the processes=K sharded service beats the "
-        "single-process service by this factor (auto-waived on "
-        "single-CPU hosts; the identity and leak gates still apply)",
     )
     parser.add_argument(
         "--max-deadline-miss-rate",

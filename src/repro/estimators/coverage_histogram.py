@@ -57,8 +57,8 @@ def merged_interval_bounds(node_set: NodeSet) -> np.ndarray:
     maximum over the (start-sorted) end codes finds the union components
     — a new component begins wherever a start code exceeds every
     previous end — and the bounds come back as one ``column_stack``
-    instead of a Python tuple list.  Every hot path (the cached COV
-    summary, the shard merge layer) consumes this form directly; the
+    instead of a Python tuple list.  The hot path (the cached COV
+    summary) consumes this form directly; the
     tuple-list API below survives for compatibility and the reference
     parity suite.
     """

@@ -9,8 +9,7 @@ into a small optimizer for chains of containment joins.
 Cardinalities reach the planner through the pluggable
 :class:`~repro.optimizer.generator.CardinalityGenerator` interface:
 estimator-backed, service-backed, exact-oracle, or the pessimistic
-upper-bound generator.  :func:`optimize` is the generator-native entry
-point; :func:`optimize_chain` is the deprecated estimator shim.
+upper-bound generator.  :func:`optimize` is the entry point.
 """
 
 from repro.optimizer.chain import chain_join_size
@@ -30,7 +29,6 @@ from repro.optimizer.planner import (
     PLAN_SCHEMA_VERSION,
     JoinPlan,
     optimize,
-    optimize_chain,
     plan_cost,
 )
 from repro.optimizer.twig import (
@@ -59,7 +57,6 @@ __all__ = [
     "estimate_twig_selectivity",
     "estimate_twig_size",
     "optimize",
-    "optimize_chain",
     "plan_cost",
     "resolve_generator",
     "twig",

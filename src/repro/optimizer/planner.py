@@ -18,14 +18,12 @@ estimated, longer segments compose under the independence assumption::
 generators plug in without touching the enumerator.  Dynamic programming
 over segments then mirrors matrix-chain ordering.
 
-:func:`optimize` is the generator-native entry point;
-:func:`optimize_chain` is the deprecated estimator-argument shim kept
-for backward compatibility.
+:func:`optimize` is the entry point; it accepts generators, generator
+names and plain estimators alike.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -257,29 +255,3 @@ def optimize(
             best[(i, j)] = champion
             cost[(i, j)] = champion_cost
     return best[(0, k - 1)]
-
-
-def optimize_chain(
-    node_sets: Sequence[NodeSet],
-    estimator: Estimator,
-    workspace: Workspace | None = None,
-) -> JoinPlan:
-    """Deprecated estimator-argument planner entry point.
-
-    Auto-wraps ``estimator`` in the pairwise adapter generator and
-    delegates to :func:`optimize`; the resulting plan is bit-identical
-    to what the pre-generator planner produced.  New code should call
-    ``optimize(node_sets, estimator, workspace=workspace)`` (or pass a
-    generator / generator name) directly.
-
-    .. deprecated:: 1.6
-        Use :func:`optimize` / :func:`repro.api.optimize` instead.
-    """
-    warnings.warn(
-        "optimize_chain(node_sets, estimator) is deprecated; use "
-        "optimize(node_sets, generator, workspace=...) which also "
-        "accepts estimators and generator names",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return optimize(node_sets, estimator, workspace=workspace)

@@ -158,28 +158,6 @@ SAMPLING_SCHEMA = Spec(
     optional={"scale": NUMBER},
 )
 
-#: The sharding phase: scatter/gather over the shared-memory worker
-#: pool versus a single process, on the memoization-proof fresh-seed
-#: trace.  ``identical`` and an empty ``leaked_segments`` are hard CI
-#: gates; the speedup gate applies only where ``cpu_count`` permits.
-_SHARDING_PHASE = Spec(
-    required={
-        "requests": int,
-        "trials": int,
-        "processes": int,
-        "cpu_count": int,
-        "baseline_seconds": NUMBER,
-        "sharded_seconds": NUMBER,
-        "speedup": NUMBER,
-        "identical": bool,
-        "mismatches": [str],
-        "scatters": int,
-        "fallbacks": int,
-        "leaked_segments": [str],
-    },
-    optional={"arena_bytes": int},
-)
-
 #: The wire-codec phase: JSON versus zero-copy binary encode/decode over
 #: one round of distinct trace requests.  ``roundtrip_identical`` is a
 #: hard gate; the decode speedup is the binary format's headline.
@@ -217,8 +195,6 @@ SERVICE_SCHEMA = Spec(
     optional={
         "batching": dict,
         "batching_speedup": NUMBER,
-        "sharding": _SHARDING_PHASE,
-        "sharding_speedup": NUMBER,
         # Older artifacts predate the wire codec phase.
         "wire": _WIRE_PHASE,
     },

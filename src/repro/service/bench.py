@@ -5,7 +5,7 @@ looks like from inside a query optimizer: one optimization pass costs
 many candidate plans, and the same containment join shows up in many of
 them — so the estimation front-end sees the Figure 8 query set (11 XMARK
 queries × 6 sample counts) with each configuration re-asked several
-times under a fixed per-configuration seed.  Three phases measure the
+times under a fixed per-configuration seed.  These phases measure the
 service against that trace:
 
 ``throughput``
@@ -20,17 +20,6 @@ service against that trace:
     *fresh* seeds per repeat, so result memoization cannot help and the
     speedup isolates micro-batching + shared caches.  Reported, not
     gated — it bounds what the service does for never-repeating traffic.
-
-``sharding``
-    The fresh-seed trace again, through a single-process service and a
-    ``processes=K`` service whose batches scatter over the shared-memory
-    worker pool (:mod:`repro.shard`).  Values are identity-gated against
-    the single-process run (contiguous chunking + in-order gather cannot
-    perturb any seeded stream) and the phase reports the pool's scatter/
-    fallback counters plus any shared-memory segments left behind after
-    both services close — which must be none.  The speedup is gated in
-    CI on multi-core runners; ``cpu_count`` is recorded so single-core
-    hosts can waive the gate honestly.
 
 ``deadline`` / ``stress``
     The trace re-run with generous then hostile per-request deadlines:
@@ -50,9 +39,7 @@ service against that trace:
 
 from __future__ import annotations
 
-import os
 import time
-from pathlib import Path
 from typing import Any
 
 from repro import api
@@ -61,7 +48,6 @@ from repro.experiments.data import get_dataset
 from repro.experiments.sampling import SAMPLE_SWEEP
 from repro.service.engine import EstimationService
 from repro.service.request import EstimateRequest
-from repro.shard.arena import SEGMENT_PREFIX, live_segments
 
 #: Default per-configuration repeat count — how many candidate plans
 #: re-cost the same join in one optimization pass.
@@ -227,91 +213,6 @@ def _phase_throughput(
     }
 
 
-def leaked_shard_segments() -> list[str]:
-    """Shared-memory segments still alive: registry plus ``/dev/shm``.
-
-    The registry side catches arenas this process created and never
-    unlinked; the ``/dev/shm`` scan catches anything that outlived its
-    creator entirely (the failure mode a crashed owner would leave).
-    """
-    leaked = set(live_segments())
-    shm_dir = Path("/dev/shm")
-    if shm_dir.is_dir():
-        leaked.update(
-            p.name
-            for p in shm_dir.glob(f"{SEGMENT_PREFIX}*")
-        )
-    return sorted(leaked)
-
-
-def _phase_sharding(
-    requests: list[EstimateRequest],
-    processes: int,
-    workers: int,
-    max_batch: int,
-    catalog: Any,
-    trials: int = DEFAULT_TRIALS,
-) -> dict[str, Any]:
-    """Scatter/gather over the worker pool versus one process.
-
-    Both sides run the fresh-seed trace (memoization cannot mask
-    compute) through otherwise-identical services; only ``processes``
-    differs.  Fresh services per trial, best-of-N on each side.
-    """
-    base_seconds = float("inf")
-    base_values: list[float] = []
-    for __ in range(trials):
-        with EstimationService(
-            workers=workers, max_batch=max_batch, catalog=catalog
-        ) as service:
-            seconds, responses = _run_service(service, requests)
-        if seconds < base_seconds:
-            base_seconds = seconds
-        base_values = base_values or [
-            r.estimate.value for r in responses
-        ]
-    shard_seconds = float("inf")
-    shard_responses: list[Any] = []
-    pool_stats: dict[str, Any] = {}
-    for __ in range(trials):
-        with EstimationService(
-            workers=workers,
-            max_batch=max_batch,
-            catalog=catalog,
-            processes=processes,
-        ) as service:
-            seconds, responses = _run_service(service, requests)
-            stats = service.stats()
-        if seconds < shard_seconds:
-            shard_seconds = seconds
-            shard_responses = responses
-            pool_stats = stats.get("pool") or {}
-    mismatches = [
-        response.request_id
-        for response, expected in zip(shard_responses, base_values)
-        if not response.degraded
-        and response.estimate.value != expected
-    ]
-    n = len(requests)
-    return {
-        "requests": n,
-        "trials": trials,
-        "processes": processes,
-        "cpu_count": os.cpu_count() or 1,
-        "baseline_seconds": base_seconds,
-        "sharded_seconds": shard_seconds,
-        "speedup": (
-            base_seconds / shard_seconds if shard_seconds else 0.0
-        ),
-        "identical": not mismatches,
-        "mismatches": mismatches[:10],
-        "scatters": int(pool_stats.get("scatters", 0)),
-        "fallbacks": int(pool_stats.get("fallbacks", 0)),
-        "arena_bytes": int(pool_stats.get("arena_bytes", 0)),
-        "leaked_segments": leaked_shard_segments(),
-    }
-
-
 def _phase_deadline(
     requests: list[EstimateRequest],
     deadline_s: float,
@@ -463,7 +364,6 @@ def run_service_bench(
     deadline_s: float = 0.25,
     stress_deadline_s: float = 0.0002,
     trials: int = DEFAULT_TRIALS,
-    processes: int = 2,
 ) -> dict[str, Any]:
     """Run every phase; returns the ``BENCH_service.json`` payload."""
     dataset = get_dataset(dataset_name, scale=scale)
@@ -506,10 +406,6 @@ def run_service_bench(
             fresh, workers, max_batch, catalog, memoize=True,
             trials=trials,
         ),
-        "sharding": _phase_sharding(
-            fresh, processes, workers, max_batch, catalog,
-            trials=trials,
-        ),
         "deadline": _phase_deadline(
             trace, deadline_s, workers, max_batch, catalog
         ),
@@ -525,7 +421,6 @@ def run_service_bench(
     }
     report["workload_speedup"] = report["throughput"]["speedup"]
     report["batching_speedup"] = report["batching"]["speedup"]
-    report["sharding_speedup"] = report["sharding"]["speedup"]
     return report
 
 
@@ -533,7 +428,6 @@ def render_report(report: dict[str, Any]) -> str:
     """Human-oriented one-screen summary of a bench report."""
     throughput = report["throughput"]
     batching = report["batching"]
-    sharding = report["sharding"]
     deadline = report["deadline"]
     stress = report["stress"]
     lines = [
@@ -547,12 +441,6 @@ def render_report(report: dict[str, Any]) -> str:
         f"{throughput['identical']})",
         f"  batching (fresh seeds): {report['batching_speedup']:.1f}x, "
         f"identical={batching['identical']}",
-        f"  sharding processes={sharding['processes']}: "
-        f"{sharding['speedup']:.1f}x on {sharding['cpu_count']} cpu(s), "
-        f"identical={sharding['identical']}, "
-        f"{sharding['scatters']} scatters / "
-        f"{sharding['fallbacks']} fallbacks, "
-        f"leaked segments: {len(sharding['leaked_segments'])}",
         f"  deadline {deadline['deadline_s'] * 1000:.1f}ms: "
         f"miss rate {deadline['deadline_miss_rate']:.1%}, "
         f"p99 {deadline['latency_p99_s'] * 1000:.2f}ms, "

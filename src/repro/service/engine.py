@@ -39,17 +39,6 @@ single caller (``map``) admits through
 when the queue fills, so its own burst coalesces into full micro-batches
 instead of being shed against itself.
 
-**Multi-process scatter (``processes=K``).**  With ``processes=K >= 2``
-the service forks a persistent
-:class:`~repro.shard.pool.ShardWorkerPool` (before any service thread
-starts): operand arrays are published once into shared-memory arenas,
-and each batchable micro-batch is scattered as contiguous configuration
-chunks over the workers, gathered in order — bit-identical to the local
-``estimate_across`` pass because every estimator's RNG stream is seeded
-by its own config.  Deadlines, degradation and the breaker wrap the
-whole scatter; any pool failure falls back to local execution, never to
-a failed request.  ``close()`` stops the pool and unlinks every arena.
-
 Every decision increments ``service.*`` metrics in the service's own
 always-on registry (exposed by :meth:`EstimationService.stats`) and is
 mirrored into the ambient :mod:`repro.obs` registry whenever
@@ -85,7 +74,6 @@ from repro.service.request import (
     EstimateResponse,
     ServiceFuture,
 )
-from repro.shard.pool import ShardWorkerPool
 
 
 class _ResultMemo(SummaryCache):
@@ -198,10 +186,9 @@ class EstimationService:
 
     Args:
         workers: worker threads draining the request queue.
-        processes: worker *processes* for scatter/gather execution of
-            batchable micro-batches (0 or 1 = single-process; ``K >= 2``
-            forks a persistent shared-memory pool).  Orthogonal to
-            ``workers`` — threads schedule, processes compute.
+        processes: kept for callers of the 1.x API; 0 and 1 both mean
+            the one process the service always runs in.  Process
+            sharding was removed in 2.0, so ``K >= 2`` raises.
         max_batch: cap on requests coalesced into one kernel pass.
         queue_size: admission bound; a full queue sheds (the request is
             still answered — inline, from the bottom ladder rung).
@@ -294,6 +281,12 @@ class EstimationService:
             raise ServiceError(
                 f"processes must be >= 0, got {processes}"
             )
+        if processes >= 2:
+            raise ServiceError(
+                f"processes={processes}: process sharding was removed "
+                "in 2.0; the service runs in one process (use workers= "
+                "for threads)"
+            )
         if max_batch < 1:
             raise ServiceError(f"max_batch must be >= 1, got {max_batch}")
         self.max_batch = max_batch
@@ -356,20 +349,6 @@ class EstimationService:
         )
         self._m_run = self.metrics.histogram("service.run_s")
         self._closed = False
-        # The pool forks *before* any service thread exists, so worker
-        # processes never inherit a mid-flight lock.  Scatter only runs
-        # under the default estimator factory: workers rebuild
-        # estimators from configs, which must mean what it means here.
-        self._pool: ShardWorkerPool | None = (
-            ShardWorkerPool(processes) if processes >= 2 else None
-        )
-        self._scatter_ok = (
-            self._pool is not None and self._factory is make_estimator
-        )
-        self._m_scatters = self.metrics.counter("service.scatters")
-        self._m_scatter_fallbacks = self.metrics.counter(
-            "service.scatter_fallbacks"
-        )
         self._m_wire_requests = self.metrics.counter(
             "service.wire_requests"
         )
@@ -415,10 +394,6 @@ class EstimationService:
             thread.join(timeout)
         for future in self._queue.drain():
             self._resolve_shed(future, reason="shutdown")
-        if self._pool is not None:
-            # Last: stops worker processes and unlinks every
-            # shared-memory arena (the leak-proofing contract).
-            self._pool.close()
 
     # ------------------------------------------------------------------
     # Submission
@@ -892,9 +867,6 @@ class EstimationService:
             "memo": self._memo.stats() if self._memo else None,
             "summary_cache": self.summary_cache.stats(),
             "index_cache": self.index_cache.stats(),
-            "pool": (
-                self._pool.stats() if self._pool is not None else None
-            ),
             "staleness_p99_s": self._m_staleness.percentile(99.0),
             "staleness_violations": self._m_staleness_violations.value,
             "live": self.live.stats() if self.live is not None else None,
@@ -978,32 +950,32 @@ class EstimationService:
                 distinct.append(future)
             group.append(future)
 
-        if distinct:
+        raw = (
             self._run_distinct(distinct, breaker, started_at, len(batch))
-
-        for key, group in groups.items():
-            lead = group[0]
-            if lead.done() and lead._response is not None:
-                response = lead._response
-                if response.status == "ok" and self._memo is not None:
-                    self._memo_put(key, response.estimate)
-                for follower in group[1:]:
-                    self._m_singleflight.inc()
-                    self._resolve(
-                        follower,
-                        response.estimate,
-                        status=response.status,
-                        ladder_level=response.ladder_level,
-                        deadline_missed=self._missed(follower),
-                        degraded_reason=response.degraded_reason,
-                        batch_size=len(batch),
-                        started_at=started_at,
-                    )
-            else:  # lead failed terminally; followers degrade
-                for follower in group[1:]:
+            if distinct
+            else {}
+        )
+        # Followers share their lead's *raw* estimate, as memo hits do:
+        # ``_resolve`` applies the correction model once per response.
+        for lead, *duplicates in groups.values():
+            estimate = raw.get(lead)
+            for follower in duplicates:
+                if estimate is None:  # the lead degraded or failed
                     self._resolve_degraded(
                         follower, "error", started_at, len(batch)
                     )
+                    continue
+                self._m_singleflight.inc()
+                self._resolve(
+                    follower,
+                    estimate,
+                    status="ok",
+                    ladder_level=0,
+                    deadline_missed=self._missed(follower),
+                    degraded_reason=None,
+                    batch_size=len(batch),
+                    started_at=started_at,
+                )
 
     def _run_distinct(
         self,
@@ -1011,9 +983,14 @@ class EstimationService:
         breaker: CircuitBreaker,
         started_at: float,
         batch_size: int,
-    ) -> None:
+    ) -> dict[ServiceFuture, Estimate]:
         """Run full-fidelity requests, batched through ``estimate_across``
-        when their estimators are compatible, sequentially otherwise."""
+        when their estimators are compatible, sequentially otherwise.
+
+        Returns the raw (uncorrected) estimate of every request that
+        finished ok.
+        """
+        finished: dict[ServiceFuture, Estimate] = {}
         request0 = futures[0].request
         try:
             estimators = [
@@ -1027,39 +1004,20 @@ class EstimationService:
                     future, "error", started_at, batch_size
                 )
             breaker.record(self._clock() - started_at, ok=False)
-            return
+            return finished
 
         run_start = self._clock()
         results: list[Estimate] | None = None
         if len(futures) > 1 and SamplingEstimator.batchable(estimators):
-            if self._scatter_ok:
-                # Scatter the batch over the process pool: workers
-                # rebuild the estimators from the (seed-bearing)
-                # configs, so the gathered results are bit-identical
-                # to the local pass below.  Any pool trouble falls
-                # back to local execution.
-                try:
-                    results = self._pool.scatter(
-                        request0.method,
-                        [f.request.config for f in futures],
-                        request0.ancestors,
-                        request0.descendants,
-                        request0.workspace,
-                    )
-                    self._m_scatters.inc()
-                except ServiceError:
-                    self._m_scatter_fallbacks.inc()
-                    results = None
-            if results is None:
-                try:
-                    results = SamplingEstimator.estimate_across(
-                        estimators,
-                        request0.ancestors,
-                        request0.descendants,
-                        request0.workspace,
-                    )
-                except Exception:
-                    results = None  # fall through to sequential
+            try:
+                results = SamplingEstimator.estimate_across(
+                    estimators,
+                    request0.ancestors,
+                    request0.descendants,
+                    request0.workspace,
+                )
+            except Exception:
+                results = None  # fall through to sequential
         if results is not None:
             elapsed = self._clock() - run_start
             per_request = elapsed / len(futures)
@@ -1067,8 +1025,9 @@ class EstimationService:
                 self._finish_ok(
                     future, estimate, started_at, batch_size, per_request
                 )
+                finished[future] = estimate
             breaker.record(per_request, ok=not self._missed(futures[0]))
-            return
+            return finished
 
         for future, estimator in zip(futures, estimators):
             request = future.request
@@ -1090,7 +1049,9 @@ class EstimationService:
             self._finish_ok(
                 future, estimate, started_at, batch_size, elapsed
             )
+            finished[future] = estimate
             breaker.record(elapsed, ok=not self._missed(future))
+        return finished
 
     def _finish_ok(
         self,
@@ -1383,8 +1344,3 @@ class EstimationService:
         self.metrics.counter(name).inc(amount)
         if _obs.enabled():
             _obs.record_service(counters={name: amount})
-
-    def _observe(self, name: str, value: float) -> None:
-        self.metrics.histogram(name).observe(value)
-        if _obs.enabled():
-            _obs.record_service(histograms={name: value})

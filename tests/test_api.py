@@ -174,6 +174,16 @@ class TestPublicSurface:
         assert len(parts) == 3
         assert all(p.isdigit() for p in parts)
 
+    def test_version_matches_pyproject(self):
+        from pathlib import Path
+
+        tomllib = pytest.importorskip("tomllib")  # stdlib from 3.11
+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with pyproject.open("rb") as handle:
+            metadata = tomllib.load(handle)
+        assert metadata["project"]["version"] == repro.__version__
+
 
 class TestModuleResolution:
     def test_canonical_names_resolve(self):

@@ -434,6 +434,39 @@ class TestServiceIntegration:
         assert abs(corrected - exact) < abs(raw - exact)
         assert response.estimate.details["corrected_from"] == raw
 
+    def test_correction_applied_once_on_memo_hits(self, xmark_small):
+        """Repeats answered from the result memo are corrected exactly
+        once, and the feedback store only ever sees the raw value."""
+        a, d = _operands(xmark_small)
+        exact = float(containment_join_size(a, d))
+        raw = api.estimate(a, d, "PL", num_buckets=8).value
+
+        store = FeedbackStore()
+        store.observe_truth(a, d, exact)
+        for __ in range(6):
+            record_feedback(a, d, "PL", raw, store=store)
+        model = CorrectionModel()
+        model.fit(store)
+
+        served = FeedbackStore()
+        with repro.serve(
+            workers=0, correction=model, feedback=served
+        ) as service:
+            responses = [
+                service.estimate(a, d, "PL", num_buckets=8)
+                for __ in range(3)
+            ]
+            memo_hits = service.stats()["counters"]["service.memo_hits"]
+        assert memo_hits == 2
+        values = [r.estimate.value for r in responses]
+        assert values[0] != raw
+        assert values == [values[0]] * 3
+        for response in responses:
+            assert response.estimate.details["corrected_from"] == raw
+        records = list(served)
+        assert len(records) == 3
+        assert all(record.estimate == raw for record in records)
+
     def test_unfitted_correction_is_bit_identical(self, xmark_small):
         a, d = _operands(xmark_small)
         raw = api.estimate(a, d, "PL", num_buckets=8).value

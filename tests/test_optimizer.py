@@ -7,7 +7,7 @@ from repro.core.errors import EstimationError
 from repro.core.nodeset import NodeSet
 from repro.estimators.im_sampling import IMSamplingEstimator
 from repro.join import containment_join_size
-from repro.optimizer import chain_join_size, optimize, optimize_chain, plan_cost
+from repro.optimizer import chain_join_size, optimize, plan_cost
 from repro.optimizer.planner import JoinPlan
 from repro.xmltree import parse_xml
 
@@ -174,22 +174,3 @@ class TestOptimizeChain:
             sets, estimator, workspace=xmark_small.tree.workspace()
         )
         assert plan_cost(plan) >= 0.0
-
-    def test_optimize_chain_shim_warns_and_matches(self, xmark_small):
-        """The deprecated estimator-argument entry point still works,
-        warns, and plans identically to the generator-native path."""
-        sets = [
-            xmark_small.node_set(tag)
-            for tag in ("open_auction", "annotation", "text")
-        ]
-        workspace = xmark_small.tree.workspace()
-        with pytest.warns(DeprecationWarning, match="optimize_chain"):
-            legacy = optimize_chain(
-                sets, IMSamplingEstimator(num_samples=50, seed=3), workspace
-            )
-        direct = optimize(
-            sets,
-            IMSamplingEstimator(num_samples=50, seed=3),
-            workspace=workspace,
-        )
-        assert legacy == direct

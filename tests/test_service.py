@@ -212,6 +212,40 @@ class TestRequestQueue:
         assert len(queue) == 0
 
 
+def _burst(figure1_tree, n):
+    """``n`` queued-ready futures sharing one batch signature."""
+    now = time.monotonic()
+    return [
+        ServiceFuture(
+            _request(figure1_tree, config={"num_samples": 10, "seed": i}),
+            now,
+        )
+        for i in range(n)
+    ]
+
+
+class TestPutMany:
+    def test_admits_whole_burst_under_capacity(self, figure1_tree):
+        queue = RequestQueue(maxsize=16)
+        assert queue.put_many(_burst(figure1_tree, 10)) == 10
+        assert len(queue) == 10
+        # The burst shares one signature: it drains as one batch.
+        assert len(queue.take_batch(max_batch=32, timeout=0.0)) == 10
+
+    def test_admits_prefix_at_capacity(self, figure1_tree):
+        queue = RequestQueue(maxsize=4)
+        futures = _burst(figure1_tree, 10)
+        assert queue.put_many(futures) == 4
+        assert len(queue) == 4
+        queue.take_batch(max_batch=2, timeout=0.0)
+        assert queue.put_many(futures[4:]) == 2
+
+    def test_closed_queue_admits_nothing(self, figure1_tree):
+        queue = RequestQueue(maxsize=4)
+        queue.close()
+        assert queue.put_many(_burst(figure1_tree, 3)) == 0
+
+
 class TestSequentialParity:
     @pytest.mark.parametrize("workers", [0, 2])
     def test_map_matches_sequential_estimates(self, figure1_tree, workers):
@@ -459,6 +493,27 @@ class TestSheddingAndShutdown:
                 future.result(timeout=0.01)
             service.help_drain((future,))
             assert future.result(timeout=30.0).status == "ok"
+
+
+class TestProcessesKeyword:
+    """``processes`` survives only as the 1.x single-process spelling."""
+
+    @pytest.mark.parametrize("processes", [0, 1])
+    def test_single_process_values_construct(self, figure1_tree, processes):
+        with EstimationService(workers=0, processes=processes) as service:
+            response = service.estimate(
+                *figure1_tree, "IM", num_samples=10, seed=3
+            )
+            assert "pool" not in service.stats()
+        assert response.status == "ok"
+
+    def test_process_sharding_removed(self):
+        with pytest.raises(ServiceError, match="removed in 2.0"):
+            EstimationService(workers=0, processes=2)
+
+    def test_rejects_negative_processes(self):
+        with pytest.raises(ServiceError):
+            EstimationService(processes=-1)
 
 
 class TestCircuitBreaker:
